@@ -68,16 +68,16 @@ bench-baseline:
 	  $(GO) test -run NONE -bench 'TileScan' -benchtime 3x -count 3 -benchmem -timeout 30m ./internal/tilequery/ ; \
 	  $(GO) test -run NONE -bench 'TileAggregate' -benchtime 10x -count 3 ./internal/tilequery/ ; \
 	  $(GO) test -run NONE -bench 'TileQuery' -benchtime 200x -count 5 ./internal/tilequery/ ) \
-		| scripts/bench2json.sh > BENCH_pr10.json
-	@cat BENCH_pr10.json
+		| scripts/bench2json.sh > BENCH_pr12.json
+	@cat BENCH_pr12.json
 
 # bench-compare gates the committed perf trajectory: fail if any benchmark
 # shared with an earlier baseline regressed >10% (machine-normalized; see
-# scripts/bench_compare.sh). The TileScanPushdown mode={full,push} entries
-# — the headline of the zone-map predicate pushdown layer (DESIGN.md §15)
-# — are new in BENCH_pr10; future PRs gate against them.
+# scripts/bench_compare.sh). The TilesHTTP query={nbhd,city} entries —
+# bbox queries answered from the resident engine (DESIGN.md §15) — are
+# new in BENCH_pr12; future PRs gate against them.
 bench-compare:
-	scripts/bench_compare.sh BENCH_pr10.json BENCH_pr9.json BENCH_pr8.json BENCH_pr7.json BENCH_pr6.json BENCH_pr5.json BENCH_pr4.json BENCH_pr3.json BENCH_pr1.json
+	scripts/bench_compare.sh BENCH_pr12.json BENCH_pr10.json BENCH_pr9.json BENCH_pr8.json BENCH_pr7.json BENCH_pr6.json BENCH_pr5.json BENCH_pr4.json BENCH_pr3.json BENCH_pr1.json
 
 # snapshot-verify is the end-to-end identity gate for the snapshot store
 # (DESIGN.md §10): a no-snapshot run, a cold-cache run (generate + write

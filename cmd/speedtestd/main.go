@@ -81,7 +81,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	ingestShards := fs.Int("ingest-shards", 0, "ingest queue shards (0 = default 4)")
 	ingestDepth := fs.Int("ingest-depth", 0, "per-shard queue depth in rows (0 = default 4096)")
 	ingestCompact := fs.Bool("ingest-compact", true, "compact segments into one canonical snapshot at shutdown")
-	ingestClusterZoom := fs.Int("ingest-cluster-zoom", 0, "cluster the shutdown compaction by quadkey at this zoom into a zoned v3 snapshot, so bbox tile queries over it can skip row groups by zone map (DESIGN.md §15); 0 keeps the canonical v2 order")
+	ingestClusterZoom := fs.Int("ingest-cluster-zoom", 0, "cluster the shutdown compaction by quadkey at this zoom into a zoned v3 snapshot, so offline pushdown scans of it can skip row groups by zone map (DESIGN.md §15); 0 keeps the canonical v2 order")
 	ingestScanBatch := fs.Int("ingest-scan-batch", 0, "rows per streamed segment-scan batch for tile folds, sketch priming and compaction — bounds scan memory, never changes output (0 = default)")
 	refitRows := fs.Int("ingest-refit-rows", 0, "refit a city's model once this many sealed rows await folding (0 = no row trigger)")
 	refitAge := fs.Duration("ingest-refit-age", 0, "refit a city's model once it is this old and sealed rows await folding (0 = no age trigger)")

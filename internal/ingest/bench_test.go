@@ -2,12 +2,15 @@ package ingest
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"testing"
 	"time"
+
+	"speedctx/internal/opendata"
 )
 
 // percentile reads the q-quantile (0..1) from a sorted latency slice.
@@ -163,9 +166,11 @@ func BenchmarkParseSubmission(b *testing.B) {
 
 // BenchmarkTilesHTTP measures GET /v1/tiles end to end on a server whose
 // segments are all sealed and folded. After the first request the refresh
-// sweep sees no new segments and every rolled tile is a result-cache hit,
-// so the hot path's latency percentiles are the cache's constant-time
-// claim, measured through HTTP.
+// sweep sees no new segments. The base and roll-up queries are then all
+// result-cache hits, so their latency percentiles are the cache's
+// constant-time claim, measured through HTTP; the nbhd (zoom-16 box
+// around one user) and city (zoom-14 box over a city's user area)
+// queries render their ranges straight from the resident index.
 func BenchmarkTilesHTTP(b *testing.B) {
 	cls, rows := loadClassifiers(b)
 	ts, _, p := startServer(b, b.TempDir(), PipelineConfig{BatchRows: 128, MaxBatchAge: -1}, cls)
@@ -190,12 +195,16 @@ func BenchmarkTilesHTTP(b *testing.B) {
 	if err := p.Close(); err != nil { // seal the tail batch
 		b.Fatal(err)
 	}
+	c := opendata.CityCenter(rows[0].City)
+	u := opendata.UserLocation(c, opendata.DefaultLocSeed, rows[0].UserID)
 	for _, q := range []struct{ name, params string }{
 		{"query=base", ""},
 		{"query=rollup", "?zoom=12&metric=download"},
+		{"query=nbhd", fmt.Sprintf("?zoom=16&bbox=%f,%f,%f,%f", u.Lat-0.004, u.Lon-0.004, u.Lat+0.004, u.Lon+0.004)},
+		{"query=city", fmt.Sprintf("?zoom=14&bbox=%f,%f,%f,%f", c.Lat-0.1, c.Lon-0.1, c.Lat+0.1, c.Lon+0.1)},
 	} {
 		b.Run(q.name, func(b *testing.B) {
-			if code, body := getTiles(b, client, ts.URL, q.params); code != http.StatusOK || len(body) == 0 {
+			if code, body := getTiles(b, client, ts.URL, q.params); code != http.StatusOK || !bytes.Contains(body, []byte(`"quadkey"`)) {
 				b.Fatalf("warmup status %d (%d bytes)", code, len(body))
 			}
 			lat := make([]float64, 0, b.N)

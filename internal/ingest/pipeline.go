@@ -26,6 +26,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -152,7 +153,12 @@ func newPipeline(cfg PipelineConfig, startDrain bool) (*Pipeline, error) {
 	for i := range p.queues {
 		p.queues[i] = make(chan dataset.IngestRow, cfg.QueueDepth)
 	}
-	if err := p.primeSketches(); err != nil {
+	names, err := listSegments(cfg.Dir)
+	if err != nil {
+		return nil, err
+	}
+	p.segSeq = nextSegSeq(names)
+	if err := p.primeSketches(names); err != nil {
 		return nil, err
 	}
 	if startDrain {
@@ -167,7 +173,8 @@ func newPipeline(cfg PipelineConfig, startDrain bool) (*Pipeline, error) {
 // cold-restart ≡ live-refresh property. Each segment contributes its
 // persisted sketch bundles when they match the configured grids, and is
 // re-binned from its rows otherwise (legacy segments, or a changed spec).
-func (p *Pipeline) primeSketches() error {
+// files are the directory's segment names in sorted order.
+func (p *Pipeline) primeSketches(files []string) error {
 	if len(p.cfg.Sketches) == 0 {
 		return nil
 	}
@@ -179,17 +186,6 @@ func (p *Pipeline) primeSketches() error {
 		}
 		p.sealedSk[city] = ts
 	}
-	entries, err := os.ReadDir(p.cfg.Dir)
-	if err != nil {
-		return err
-	}
-	var files []string
-	for _, e := range entries {
-		if name := e.Name(); e.Type().IsRegular() && strings.HasSuffix(name, segmentSuffix) {
-			files = append(files, name)
-		}
-	}
-	sort.Strings(files)
 	for _, name := range files {
 		if err := p.foldSegmentSketches(filepath.Join(p.cfg.Dir, name)); err != nil {
 			return fmt.Errorf("ingest: prime sketches from %s: %w", name, err)
@@ -469,6 +465,37 @@ func (p *Pipeline) segmentPath(seq int) string {
 	return filepath.Join(p.cfg.Dir, fmt.Sprintf("seg-%08d%s", seq, segmentSuffix))
 }
 
+// listSegments returns the names of the segment files in dir (sealed
+// segments and any compacted snapshot), sorted.
+func listSegments(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if name := e.Name(); e.Type().IsRegular() && strings.HasSuffix(name, segmentSuffix) {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names, nil
+}
+
+// nextSegSeq returns the number after the highest sealed segment among
+// names, so a restarted pipeline never seals over a segment an earlier
+// process left uncompacted.
+func nextSegSeq(names []string) int {
+	next := 0
+	for _, name := range names {
+		digits, ok := strings.CutPrefix(strings.TrimSuffix(name, segmentSuffix), "seg-")
+		if seq, err := strconv.Atoi(digits); ok && err == nil && seq >= next {
+			next = seq + 1
+		}
+	}
+	return next
+}
+
 // writeAtomic is the store's tempfile+rename discipline: readers never see
 // a partial segment, and crashed writers leave only removable temp files.
 func writeAtomic(path string, buf []byte) error {
@@ -590,18 +617,10 @@ type CompactOptions struct {
 // sort orders are total and deterministic.
 func CompactWith(dir string, opts CompactOptions) (string, error) {
 	par, batchRows := opts.Par, opts.BatchRows
-	entries, err := os.ReadDir(dir)
+	files, err := listSegments(dir)
 	if err != nil {
 		return "", err
 	}
-	var files []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.Type().IsRegular() && strings.HasSuffix(name, segmentSuffix) {
-			files = append(files, name)
-		}
-	}
-	sort.Strings(files)
 	paths := make([]string, len(files))
 	for i, name := range files {
 		paths[i] = filepath.Join(dir, name)

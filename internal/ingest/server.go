@@ -32,8 +32,9 @@ import (
 //	GET  /v1/tiles         contextualized per-quadkey aggregates over every
 //	                       sealed row (DESIGN.md §13): ?zoom=&bbox=&metric=
 //	                       &format=, folded incrementally from segments via
-//	                       pruned column scans and served through a
-//	                       per-(tile, version) result cache
+//	                       pruned column scans; whole-zoom queries go
+//	                       through a per-(tile, version) result cache,
+//	                       bbox queries render from the resident index
 //	GET  /healthz          liveness
 //	GET  /statsz           accepted/rejected/sealed counters plus per-city
 //	                       model generation and staleness as JSON
@@ -168,12 +169,7 @@ func NewServer(pipe *Pipeline, models map[string]*CityModel, cfg ServerConfig) *
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	modelCities := make([]string, 0, len(models))
-	for city := range models {
-		modelCities = append(modelCities, city)
-	}
-	sort.Strings(modelCities)
-	s.tiles = newTileServer(pipe.cfg.Dir, cfg.Tiles, cfg.TileCacheTiles, pipe.cfg.ScanBatchRows, modelCities)
+	s.tiles = newTileServer(pipe.cfg.Dir, cfg.Tiles, cfg.TileCacheTiles, pipe.cfg.ScanBatchRows)
 	now := time.Now().UnixNano()
 	for city, m := range models {
 		st := &cityState{base: m.Base}

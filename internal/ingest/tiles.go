@@ -3,9 +3,7 @@ package ingest
 import (
 	"fmt"
 	"net/http"
-	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,11 +35,9 @@ var tileSelection = dataset.SnapshotSelection{
 type tileServer struct {
 	mu        sync.Mutex
 	dir       string
-	cfg       tilequery.Config
 	eng       *tilequery.Engine
 	folded    map[string]bool
 	batchRows int
-	cities    []string // sorted serving-model cities, for pushdown attribution
 
 	// Cumulative streamed-scan counters across folds, for /statsz: proof
 	// the serving path never materializes unrequested columns (and, on
@@ -50,49 +46,27 @@ type tileServer struct {
 	colsSkipped   int64
 	blocksScanned int64
 	refolds       uint64
-
-	// Predicate-pushdown accounting for the bbox serving path (DESIGN.md
-	// §15): per-query totals and the per-city split, attributed by which
-	// city's user box the query bbox intersects.
-	pushQueries  uint64
-	pushSkipHits uint64 // queries that skipped at least one row group
-	pushByCity   map[string]*cityPushStats
 }
 
-// cityPushStats is one city's pushdown tally.
-type cityPushStats struct {
-	queries       uint64
-	blocksScanned int64
-	blocksSkipped int64
-}
-
-func newTileServer(dir string, cfg tilequery.Config, cacheTiles, batchRows int, cities []string) *tileServer {
+func newTileServer(dir string, cfg tilequery.Config, cacheTiles, batchRows int) *tileServer {
 	return &tileServer{
-		dir:        dir,
-		cfg:        cfg,
-		eng:        tilequery.NewEngine(cfg, cacheTiles),
-		folded:     make(map[string]bool),
-		batchRows:  batchRows,
-		cities:     cities,
-		pushByCity: make(map[string]*cityPushStats),
+		dir:       dir,
+		eng:       tilequery.NewEngine(cfg, cacheTiles),
+		folded:    make(map[string]bool),
+		batchRows: batchRows,
 	}
 }
 
 // refresh folds segments sealed since the last call, resetting first if
 // compaction rewrote the directory.
 func (ts *tileServer) refresh() error {
-	entries, err := os.ReadDir(ts.dir)
+	names, err := listSegments(ts.dir)
 	if err != nil {
 		return err
 	}
-	present := make(map[string]bool, len(entries))
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.Type().IsRegular() && strings.HasSuffix(name, segmentSuffix) {
-			present[name] = true
-			names = append(names, name)
-		}
+	present := make(map[string]bool, len(names))
+	for _, name := range names {
+		present[name] = true
 	}
 	for name := range ts.folded {
 		if !present[name] {
@@ -102,7 +76,6 @@ func (ts *tileServer) refresh() error {
 			break
 		}
 	}
-	sort.Strings(names)
 	for _, name := range names {
 		if ts.folded[name] {
 			continue
@@ -152,94 +125,6 @@ func (ts *tileServer) foldSegment(name string) error {
 	return nil
 }
 
-// tilesPushdown answers one bbox query by streaming the current segment
-// set into a fresh index with the bbox predicate pushed into each scanner
-// (DESIGN.md §15): row groups of clustered segments whose quadkey zone
-// ranges cannot intersect the bbox are seeked past instead of decoded.
-// Skipped groups hold only rows placed outside the queried rectangle, so
-// the rendered tiles are byte-identical to the engine path's. Unclustered
-// (v2) segments carry no zone maps and stream whole — the predicate is
-// purely an accelerator. Callers hold ts.mu.
-func (ts *tileServer) tilesPushdown(query tilequery.Query) ([]opendata.ContextTile, error) {
-	entries, err := os.ReadDir(ts.dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if name := e.Name(); e.Type().IsRegular() && strings.HasSuffix(name, segmentSuffix) {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	sel := tileSelection
-	sel.Predicate = ts.cfg.Pushdown(query.Range)
-	ix := tilequery.NewIndex(ts.cfg)
-	var scanned, skipped int64
-	for _, name := range names {
-		ctr, err := ts.scanSegmentInto(ix, name, sel)
-		scanned += int64(ctr.BlocksScanned)
-		skipped += int64(ctr.BlocksSkipped)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: tiles: pushdown scan %s: %w", name, err)
-		}
-	}
-	tiles, err := ix.Tiles(query)
-	if err != nil {
-		return nil, err
-	}
-	ts.pushQueries++
-	if skipped > 0 {
-		ts.pushSkipHits++
-	}
-	city := ts.cityFor(query.Range)
-	st := ts.pushByCity[city]
-	if st == nil {
-		st = &cityPushStats{}
-		ts.pushByCity[city] = st
-	}
-	st.queries++
-	st.blocksScanned += scanned
-	st.blocksSkipped += skipped
-	return tiles, nil
-}
-
-// scanSegmentInto streams one segment into ix under sel and returns the
-// scan's counters whether or not it failed.
-func (ts *tileServer) scanSegmentInto(ix *tilequery.Index, name string, sel dataset.SnapshotSelection) (dataset.DecodeCounters, error) {
-	src, err := dataset.OpenFileSource(filepath.Join(ts.dir, name))
-	if err != nil {
-		return dataset.DecodeCounters{}, err
-	}
-	defer src.Close()
-	sc, err := dataset.NewBlockScanner(src, sel, ts.batchRows)
-	if err != nil {
-		return dataset.DecodeCounters{}, err
-	}
-	_, err = ix.AddScan(sc)
-	return sc.Counters(), err
-}
-
-// cityFor attributes a bbox query to the first configured city whose
-// ±0.1° user box intersects the queried tile rectangle, or "other" when
-// the bbox covers no configured city.
-func (ts *tileServer) cityFor(rng *opendata.TileRange) string {
-	if rng != nil {
-		for _, city := range ts.cities {
-			c := opendata.CityCenter(city)
-			box, err := opendata.TileRangeForBBox(c.Lat-0.1, c.Lon-0.1, c.Lat+0.1, c.Lon+0.1, rng.Zoom)
-			if err != nil {
-				continue
-			}
-			if box.MinX <= rng.MaxX && rng.MinX <= box.MaxX &&
-				box.MinY <= rng.MaxY && rng.MinY <= box.MaxY {
-				return city
-			}
-		}
-	}
-	return "other"
-}
-
 // tileStats is a point-in-time tile-layer snapshot for /statsz.
 type tileStats struct {
 	tilequery.EngineStats
@@ -248,19 +133,11 @@ type tileStats struct {
 	ColsDecoded   int64
 	ColsSkipped   int64
 	BlocksScanned int64
-
-	PushQueries  uint64
-	PushSkipHits uint64
-	PushByCity   map[string]cityPushStats
 }
 
 func (ts *tileServer) stats() tileStats {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	byCity := make(map[string]cityPushStats, len(ts.pushByCity))
-	for city, st := range ts.pushByCity {
-		byCity[city] = *st
-	}
 	return tileStats{
 		EngineStats:   ts.eng.Stats(),
 		Segments:      len(ts.folded),
@@ -268,18 +145,15 @@ func (ts *tileServer) stats() tileStats {
 		ColsDecoded:   ts.colsDecoded,
 		ColsSkipped:   ts.colsSkipped,
 		BlocksScanned: ts.blocksScanned,
-		PushQueries:   ts.pushQueries,
-		PushSkipHits:  ts.pushSkipHits,
-		PushByCity:    byCity,
 	}
 }
 
 // handleTiles serves GET /v1/tiles?zoom=&bbox=minLat,minLon,maxLat,maxLon
-// &metric=&format=&push=. zoom defaults to the base aggregation zoom; bbox
-// restricts output to the covered tile rectangle (and routes the query
-// through the predicate-pushdown scan path — push=0 opts out); metric
-// selects a single-value projection (see tilequery.Metrics); format is
-// json (default) or csv.
+// &metric=&format=. zoom defaults to the base aggregation zoom; bbox
+// restricts output to the covered tile rectangle; metric selects a
+// single-value projection (see tilequery.Metrics); format is json
+// (default) or csv. Every query, ranged or not, is answered from the
+// resident engine after folding any newly sealed segments.
 func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -321,19 +195,11 @@ func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 		query.Range = &rng
 	}
 
-	// A bbox query takes the predicate-pushdown scan path by default
-	// (?push=0 forces the engine path); both render identical bytes — the
-	// identity the zonemap-verify matrix gates.
-	push := query.Range != nil && q.Get("push") != "0"
 	ts.mu.Lock()
-	var err error
+	err := ts.refresh()
 	var tiles []opendata.ContextTile
-	if push {
-		tiles, err = ts.tilesPushdown(query)
-	} else {
-		if err = ts.refresh(); err == nil {
-			tiles, err = ts.eng.Tiles(query)
-		}
+	if err == nil {
+		tiles, err = ts.eng.Tiles(query)
 	}
 	ts.mu.Unlock()
 	if err != nil {
@@ -387,36 +253,5 @@ func appendTileStats(out []byte, st tileStats) []byte {
 	out = append(out, `,"blocks_scanned":`...)
 	out = strconv.AppendInt(out, st.BlocksScanned, 10)
 	out = append(out, '}')
-	out = append(out, `,"pushdown":{"queries":`...)
-	out = strconv.AppendUint(out, st.PushQueries, 10)
-	out = append(out, `,"skip_hits":`...)
-	out = strconv.AppendUint(out, st.PushSkipHits, 10)
-	out = append(out, `,"hit_rate":`...)
-	rate := 0.0
-	if st.PushQueries > 0 {
-		rate = float64(st.PushSkipHits) / float64(st.PushQueries)
-	}
-	out = strconv.AppendFloat(out, rate, 'f', 3, 64)
-	out = append(out, `,"cities":{`...)
-	cities := make([]string, 0, len(st.PushByCity))
-	for city := range st.PushByCity {
-		cities = append(cities, city)
-	}
-	sort.Strings(cities)
-	for i, city := range cities {
-		cs := st.PushByCity[city]
-		if i > 0 {
-			out = append(out, ',')
-		}
-		out = strconv.AppendQuote(out, city)
-		out = append(out, `:{"queries":`...)
-		out = strconv.AppendUint(out, cs.queries, 10)
-		out = append(out, `,"blocks_scanned":`...)
-		out = strconv.AppendInt(out, cs.blocksScanned, 10)
-		out = append(out, `,"blocks_skipped":`...)
-		out = strconv.AppendInt(out, cs.blocksSkipped, 10)
-		out = append(out, '}')
-	}
-	out = append(out, '}', '}')
 	return out
 }

@@ -5,9 +5,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"speedctx/internal/core"
+	"speedctx/internal/dataset"
 	"speedctx/internal/opendata"
 	"speedctx/internal/tilequery"
 )
@@ -24,6 +29,40 @@ func getTiles(t testing.TB, client *http.Client, url, params string) (int, []byt
 		t.Fatal(err)
 	}
 	return resp.StatusCode, body
+}
+
+// wantTiles renders the response a query must return over rows: the
+// library fold of the rows under the tiers the server stamps on them.
+func wantTiles(t testing.TB, cls map[string]*core.Classifier, rows []dataset.IngestRow, q tilequery.Query) []byte {
+	t.Helper()
+	exp := &tilequery.Rows{}
+	for i := range rows {
+		r := &rows[i]
+		a := cls[r.City].ClassifyOne(r.DownloadMbps, r.UploadMbps)
+		exp.UserID = append(exp.UserID, r.UserID)
+		exp.City = append(exp.City, r.City)
+		exp.Download = append(exp.Download, r.DownloadMbps)
+		exp.Upload = append(exp.Upload, r.UploadMbps)
+		exp.Latency = append(exp.Latency, r.LatencyMs)
+		exp.Tier = append(exp.Tier, a.Tier)
+	}
+	ix := tilequery.NewIndex(tilequery.Config{})
+	if _, err := ix.AddRows(exp); err != nil {
+		t.Fatal(err)
+	}
+	tiles, err := ix.Tiles(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zoom := q.Zoom
+	if zoom == 0 {
+		zoom = ix.Zoom()
+	}
+	want, err := tilequery.AppendTilesJSON(nil, zoom, tiles, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(want, '\n')
 }
 
 // TestTilesEndpointIdentity is the serving-path determinism gate: the
@@ -55,26 +94,7 @@ func TestTilesEndpointIdentity(t *testing.T) {
 
 	// Library-path expectation over the same submissions, tiers recomputed
 	// exactly as the server stamped them.
-	exp := &tilequery.Rows{}
-	for i := range rows {
-		r := &rows[i]
-		a := cls[r.City].ClassifyOne(r.DownloadMbps, r.UploadMbps)
-		exp.UserID = append(exp.UserID, r.UserID)
-		exp.City = append(exp.City, r.City)
-		exp.Download = append(exp.Download, r.DownloadMbps)
-		exp.Upload = append(exp.Upload, r.UploadMbps)
-		exp.Latency = append(exp.Latency, r.LatencyMs)
-		exp.Tier = append(exp.Tier, a.Tier)
-	}
-	tiles, err := tilequery.Aggregate(exp, tilequery.Config{}, tilequery.Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := tilequery.AppendTilesJSON(nil, opendata.TileZoom, tiles, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = append(want, '\n')
+	want := wantTiles(t, cls, rows, tilequery.Query{})
 	if !bytes.Equal(live, want) {
 		t.Fatalf("endpoint bytes diverge from library aggregation (%d vs %d bytes)", len(live), len(want))
 	}
@@ -132,29 +152,13 @@ func TestTilesEndpointQueries(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("bbox query = %d: %s", code, got)
 	}
-	exp := &tilequery.Rows{}
-	for i := range rows {
-		r := &rows[i]
-		if r.City != city {
-			continue
+	var cityRows []dataset.IngestRow
+	for _, r := range rows {
+		if r.City == city {
+			cityRows = append(cityRows, r)
 		}
-		a := cls[r.City].ClassifyOne(r.DownloadMbps, r.UploadMbps)
-		exp.UserID = append(exp.UserID, r.UserID)
-		exp.City = append(exp.City, r.City)
-		exp.Download = append(exp.Download, r.DownloadMbps)
-		exp.Upload = append(exp.Upload, r.UploadMbps)
-		exp.Latency = append(exp.Latency, r.LatencyMs)
-		exp.Tier = append(exp.Tier, a.Tier)
 	}
-	tiles, err := tilequery.Aggregate(exp, tilequery.Config{}, tilequery.Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := tilequery.AppendTilesJSON(nil, opendata.TileZoom, tiles, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = append(want, '\n')
+	want := wantTiles(t, cls, cityRows, tilequery.Query{})
 	if !bytes.Equal(got, want) {
 		t.Fatalf("bbox response does not isolate city %s tiles", city)
 	}
@@ -198,96 +202,144 @@ func TestTilesEndpointQueries(t *testing.T) {
 	}
 }
 
-// TestTilesPushdownClustered is the serving-path pushdown gate: after a
-// clustered compaction, a bbox query through the pushdown scan path skips
-// row groups outside the bbox yet renders bytes identical to the engine
-// path (?push=0), and /statsz accounts the skips per attributed city.
-func TestTilesPushdownClustered(t *testing.T) {
+// TestTilesBBoxFromEngine is the bbox serving gate: over a directory
+// holding a quadkey-clustered (v3) compaction beside two unclustered (v2)
+// segments, neighbourhood and city boxes are answered from the resident
+// engine with the bytes of the in-memory fold of every sealed row, leave
+// the result cache's counters alone, and ignore a legacy push parameter.
+func TestTilesBBoxFromEngine(t *testing.T) {
 	cls, rows := loadClassifiers(t)
 	dir := t.TempDir()
-	ts, srv, p := startServer(t, dir, PipelineConfig{}, cls)
+	split := len(rows) - 200
+	ts1, _, p1 := startServer(t, dir, PipelineConfig{}, cls)
+	for i := range rows[:split] {
+		postOne(t, ts1.Client(), ts1.URL, &rows[i])
+	}
+	ts1.Close()
+	if err := p1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CompactWith(dir, CompactOptions{ClusterZoom: opendata.TileZoom, ZoneBlockRows: 16}); err != nil {
+		t.Fatal(err)
+	}
+	ts, srv, p := startServer(t, dir, PipelineConfig{BatchRows: 100, MaxBatchAge: -1}, cls)
 	defer ts.Close()
 	client := ts.Client()
-	for i := range rows {
+	for i := split; i < len(rows); i++ {
 		postOne(t, client, ts.URL, &rows[i])
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Cluster-compact with tiny zone groups so even the fixture's row count
-	// spans many groups; the two fixture cities land in disjoint quadkey
-	// runs, so a one-city bbox must skip the other city's groups entirely.
-	if _, err := CompactWith(dir, CompactOptions{ClusterZoom: opendata.TileZoom, ZoneBlockRows: 16}); err != nil {
+	names, err := listSegments(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	city := rows[0].City
-	c := opendata.CityCenter(city)
-	bbox := fmt.Sprintf("?bbox=%g,%g,%g,%g", c.Lat-0.11, c.Lon-0.11, c.Lat+0.11, c.Lon+0.11)
-	code, pushed := getTiles(t, client, ts.URL, bbox)
-	if code != http.StatusOK {
-		t.Fatalf("pushdown bbox query = %d: %s", code, pushed)
-	}
-	code, engine := getTiles(t, client, ts.URL, bbox+"&push=0")
-	if code != http.StatusOK {
-		t.Fatalf("push=0 bbox query = %d: %s", code, engine)
-	}
-	if !bytes.Equal(pushed, engine) {
-		t.Fatal("pushdown response differs from engine response")
+	if want := []string{CompactedName, "seg-00000000.sxc", "seg-00000001.sxc"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("segment directory = %v, want %v", names, want)
 	}
 
-	st := srv.tiles.stats()
-	if st.PushQueries != 1 || st.PushSkipHits != 1 {
-		t.Fatalf("pushdown counters: %d queries, %d skip hits, want 1/1", st.PushQueries, st.PushSkipHits)
+	box := func(zoom int, lat, lon, half float64) (string, tilequery.Query) {
+		rng, err := opendata.TileRangeForBBox(lat-half, lon-half, lat+half, lon+half, zoom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("?zoom=%d&bbox=%g,%g,%g,%g", zoom, lat-half, lon-half, lat+half, lon+half),
+			tilequery.Query{Zoom: zoom, Range: &rng}
 	}
-	cs, ok := st.PushByCity[city]
-	if !ok || cs.queries != 1 {
-		t.Fatalf("query not attributed to city %s: %+v", city, st.PushByCity)
+	c := opendata.CityCenter(rows[0].City)
+	u := opendata.UserLocation(c, opendata.DefaultLocSeed, rows[0].UserID)
+	nbhd, nbhdQ := box(opendata.TileZoom, u.Lat, u.Lon, 0.004)
+	city, cityQ := box(14, c.Lat, c.Lon, 0.1)
+
+	before := srv.tiles.stats()
+	for _, q := range []struct {
+		params string
+		query  tilequery.Query
+	}{{nbhd, nbhdQ}, {city, cityQ}} {
+		code, got := getTiles(t, client, ts.URL, q.params)
+		if code != http.StatusOK {
+			t.Fatalf("%s = %d: %s", q.params, code, got)
+		}
+		want := wantTiles(t, cls, rows, q.query)
+		if !bytes.Equal(got, want) || !bytes.Contains(want, []byte(`"quadkey"`)) {
+			t.Fatalf("%s: served %d bytes, fold renders %d: %.200s", q.params, len(got), len(want), got)
+		}
+		if _, legacy := getTiles(t, client, ts.URL, q.params+"&push=0"); !bytes.Equal(legacy, got) {
+			t.Fatalf("%s&push=0 differs from %s", q.params, q.params)
+		}
 	}
-	if cs.blocksSkipped == 0 || cs.blocksScanned == 0 {
-		t.Fatalf("city %s: scanned %d / skipped %d groups, want both > 0", city, cs.blocksScanned, cs.blocksSkipped)
+	after := srv.tiles.stats()
+	if after.CacheHits != before.CacheHits || after.CacheMisses != before.CacheMisses || after.CacheLen != before.CacheLen {
+		t.Fatalf("bbox queries moved the tile cache: %+v, was %+v", after.EngineStats, before.EngineStats)
+	}
+	// Zone-mapped row groups are counted only when a v3 file was folded.
+	if after.Segments != 3 || after.Rows != len(rows) || after.BlocksScanned == 0 {
+		t.Fatalf("engine folded %d segments / %d rows / %d zoned groups, want 3 / %d / > 0", after.Segments, after.Rows, after.BlocksScanned, len(rows))
 	}
 
-	// /statsz renders the pushdown block with the per-city split.
 	resp, err := client.Get(ts.URL + "/statsz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	stats, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{
-		`"pushdown":{"queries":1,"skip_hits":1,"hit_rate":1.000`,
-		fmt.Sprintf(`%q:{"queries":1,"blocks_scanned":%d,"blocks_skipped":%d}`, city, cs.blocksScanned, cs.blocksSkipped),
-		`"blocks_scanned":`,
-	} {
-		if !bytes.Contains(stats, []byte(want)) {
-			t.Fatalf("statsz misses %s: %s", want, stats)
+	if !bytes.Contains(stats, []byte(`"tile_cache":{`)) || bytes.Contains(stats, []byte(`"pushdown"`)) {
+		t.Fatalf("statsz tile blocks: %s", stats)
+	}
+}
+
+// TestTilesAfterRestartWithoutCompaction reopens a pipeline over segments
+// an earlier process sealed but never compacted: the new process must seal
+// under fresh names, leaving the earlier files byte-unchanged, and serve
+// the fold of both processes' rows.
+func TestTilesAfterRestartWithoutCompaction(t *testing.T) {
+	cls, rows := loadClassifiers(t)
+	dir := t.TempDir()
+	cfg := PipelineConfig{BatchRows: 100, MaxBatchAge: -1}
+	half := len(rows) / 2
+	ts1, _, p1 := startServer(t, dir, cfg, cls)
+	for i := range rows[:half] {
+		postOne(t, ts1.Client(), ts1.URL, &rows[i])
+	}
+	ts1.Close()
+	if err := p1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) < 2 {
+		t.Fatalf("first run sealed %v, want several segments", names)
+	}
+	first := make(map[string][]byte, len(names))
+	for _, name := range names {
+		if first[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
 		}
 	}
 
-	// An unclustered directory degrades to full reads: identical bytes,
-	// zero skips, and the hit-rate reflects the miss.
-	dir2 := t.TempDir()
-	ts2, srv2, p2 := startServer(t, dir2, PipelineConfig{}, cls)
-	defer ts2.Close()
-	client2 := ts2.Client()
-	for i := range rows {
-		postOne(t, client2, ts2.URL, &rows[i])
+	ts, _, p := startServer(t, dir, cfg, cls)
+	defer ts.Close()
+	client := ts.Client()
+	// Fold the first run's segments before the second run seals any.
+	if code, got := getTiles(t, client, ts.URL, ""); code != http.StatusOK || !bytes.Equal(got, wantTiles(t, cls, rows[:half], tilequery.Query{})) {
+		t.Fatalf("restarted server = %d, not the first run's fold", code)
 	}
-	if err := p2.Close(); err != nil {
+	for i := half; i < len(rows); i++ {
+		postOne(t, client, ts.URL, &rows[i])
+	}
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compact(dir2); err != nil {
-		t.Fatal(err)
+	for name, want := range first {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s changed across the restart (err %v)", name, err)
+		}
 	}
-	code, flat := getTiles(t, client2, ts2.URL, bbox)
-	if code != http.StatusOK {
-		t.Fatalf("unclustered bbox query = %d: %s", code, flat)
-	}
-	if !bytes.Equal(flat, pushed) {
-		t.Fatal("unclustered response differs from clustered response")
-	}
-	if st2 := srv2.tiles.stats(); st2.PushQueries != 1 || st2.PushSkipHits != 0 {
-		t.Fatalf("unclustered pushdown counters: %+v", st2)
+	if _, got := getTiles(t, client, ts.URL, ""); !bytes.Equal(got, wantTiles(t, cls, rows, tilequery.Query{})) {
+		t.Fatal("tiles after the restart differ from the fold of both runs' rows")
 	}
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -163,6 +164,28 @@ func TestECDFPoints(t *testing.T) {
 	}
 	if got := NewECDF(nil).Points(5); got != nil {
 		t.Error("empty ECDF should produce nil points")
+	}
+}
+
+// TestECDFPointsSmall pins Points where the rank spacing degenerates: a
+// one-sample CDF at any n, and a single requested point over many samples.
+func TestECDFPointsSmall(t *testing.T) {
+	for _, tc := range []struct {
+		xs   []float64
+		n    int
+		want []Point
+	}{
+		{[]float64{7}, 0, []Point{{7, 1}}},
+		{[]float64{7}, 1, []Point{{7, 1}}},
+		{[]float64{7}, 5, []Point{{7, 1}}},
+		{[]float64{7}, -1, []Point{{7, 1}}},
+		{[]float64{5, 1, 4, 2, 3}, 1, []Point{{5, 1}}},
+		{[]float64{5, 1, 4, 2, 3}, 2, []Point{{1, 0.2}, {5, 1}}},
+	} {
+		got := NewECDF(tc.xs).Points(tc.n)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("m=%d n=%d: Points = %v, want %v", len(tc.xs), tc.n, got, tc.want)
+		}
 	}
 }
 

@@ -108,12 +108,19 @@ func (e *Engine) Zoom() int {
 	return e.ix.cfg.Zoom
 }
 
-// Tiles answers a query through the result cache: rolled tiles in quadkey
-// order, each either served from cache (hit: ~constant work per tile) or
-// rendered from its child accumulators and cached.
+// Tiles answers a query: rolled tiles in quadkey order. A whole-zoom
+// query goes through the result cache, each tile either served from cache
+// (hit: ~constant work per tile) or rendered from its child accumulators
+// and cached. A ranged query renders straight from the accumulators, as
+// Index.Tiles does, and neither reads nor fills the cache: its few to few
+// hundred tiles would only evict the whole-map and roll-up entries the
+// cache is sized for, so hits and misses count unranged lookups alone.
 func (e *Engine) Tiles(q Query) ([]opendata.ContextTile, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if q.Range != nil {
+		return e.ix.Tiles(q)
+	}
 	groups, zoom, err := e.ix.groups(q)
 	if err != nil {
 		return nil, err

@@ -197,6 +197,46 @@ func TestRangeFilter(t *testing.T) {
 	}
 }
 
+// TestEngineRangedQueryBypassesCache checks that a ranged engine query
+// renders the index's answer without reading or filling the result cache.
+func TestEngineRangedQueryBypassesCache(t *testing.T) {
+	rows := synthRows(5_000, "A", "B")
+	eng := NewEngine(Config{}, 0)
+	if err := eng.AddRows(rows); err != nil {
+		t.Fatal(err)
+	}
+	ix := NewIndex(Config{})
+	if _, err := ix.AddRows(rows); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := eng.Tiles(Query{Zoom: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y, _, err := opendata.QuadkeyToTile(whole[len(whole)/2].Quadkey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := opendata.TileRange{Zoom: 14, MinX: x - 2, MaxX: x + 2, MinY: y - 2, MaxY: y + 2}
+	before := eng.Stats()
+	for i := 0; i < 2; i++ {
+		got, err := eng.Tiles(Query{Zoom: 14, Range: &r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ix.Tiles(Query{Zoom: 14, Range: &r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !bytes.Equal(renderJSON(t, got, 14), renderJSON(t, want, 14)) {
+			t.Fatalf("ranged engine answer (%d tiles) differs from the index's (%d)", len(got), len(want))
+		}
+	}
+	if st := eng.Stats(); st.CacheHits != before.CacheHits || st.CacheMisses != before.CacheMisses || st.CacheLen != before.CacheLen {
+		t.Fatalf("ranged queries touched the cache: %+v, was %+v", st, before)
+	}
+}
+
 func TestEngineCacheColdWarmIdentity(t *testing.T) {
 	rows := synthRows(5_000, "A", "B")
 	eng := NewEngine(Config{}, 0)

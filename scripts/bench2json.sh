@@ -17,8 +17,13 @@
 # rate metrics (rows/s), where contamination deflates, the MAXIMUM is kept
 # by the same logic. B/op and peak-bytes keep the minimum too: pool reuse
 # warm-up only ever inflates an early sample.
+#
+# The "-N" GOMAXPROCS suffix `go test` appends on multi-CPU machines is
+# dropped, so files recorded on machines with different core counts share
+# their keys.
 exec awk '
 /^Benchmark/ {
+	sub(/-[0-9]+$/, "", $1)
 	# Fields: name iters v1 u1 v2 u2 ... — walk the value/unit pairs.
 	for (f = 3; f + 1 <= NF; f += 2) {
 		v = $f; gsub(/,/, "", v); v = v + 0
