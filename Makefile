@@ -79,55 +79,32 @@ bench-baseline:
 bench-compare:
 	scripts/bench_compare.sh BENCH_pr12.json BENCH_pr10.json BENCH_pr9.json BENCH_pr8.json BENCH_pr7.json BENCH_pr6.json BENCH_pr5.json BENCH_pr4.json BENCH_pr3.json BENCH_pr1.json
 
-# snapshot-verify is the end-to-end identity gate for the snapshot store
-# (DESIGN.md §10): a no-snapshot run, a cold-cache run (generate + write
-# .sxc) and a warm-cache run (load .sxc, skipping generation) of
-# `speedctx all` must be byte-identical. The tempdir is left behind on
-# failure for inspection.
+# The *-verify targets are aliases for the package tests that own each
+# identity gate; tier-1 (`go test ./...`) runs the same tests.
+#   snapshot-verify: `speedctx all` plain, cold- and warm-snapshot runs are
+#     byte-identical (DESIGN.md §10).
+#   sketch-verify: refits from sharded, merged and streamed sketch deposits
+#     equal the single-pass fit (DESIGN.md §12).
+#   stream-verify: segment layouts stream to the in-memory tiles, sketches
+#     and compacted bytes at every batch and parallelism (DESIGN.md §14).
+#   tiles-verify: memory vs snapshot vs streamed tile renders, every
+#     parallelism, cold and warm (DESIGN.md §13, §14).
+#   zonemap-verify: bbox renders over clustered v3 and v2 compactions, with
+#     and without pushdown, equal the in-memory fold (DESIGN.md §15).
 snapshot-verify:
-	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/speedctx all -scale 0.005 > $$dir/plain.txt && \
-	$(GO) run ./cmd/speedctx all -scale 0.005 -snapshot-dir $$dir/snaps > $$dir/cold.txt && \
-	$(GO) run ./cmd/speedctx all -scale 0.005 -snapshot-dir $$dir/snaps > $$dir/warm.txt && \
-	cmp $$dir/plain.txt $$dir/cold.txt && cmp $$dir/plain.txt $$dir/warm.txt && \
-	rm -rf $$dir && echo "snapshot-verify: cold and warm snapshot runs byte-identical"
+	$(GO) test -count=1 -run '^TestAllSnapshotOutputIdentical$$' ./cmd/speedctx
 
-# sketch-verify is the end-to-end determinism gate for mergeable sketches
-# (DESIGN.md §12): a BST refit from bin-mass sketches sharded across
-# {1,7,64} holders and merged in several orders must be byte-identical to
-# the single-pass fast fit over the raw samples — the property the ingest
-# refresh loop's correctness rests on. -stream extends the sweep to the
-# batched streamed-deposit path (DESIGN.md §14).
 sketch-verify:
-	$(GO) run ./cmd/speedctx sketch-verify -stream
+	$(GO) test -count=1 -run '^(TestFitGMMSketchMatchesSinglePass|TestFitFromSketchesShardMergeDeterminism|TestServingSketchRefitIdentity)$$' ./internal/stats ./internal/core ./internal/experiments
 
-# stream-verify is the end-to-end identity gate for the streaming
-# block-scan layer (DESIGN.md §14): a synthesized ingest row set sealed
-# into {1,3}-segment .sxc layouts must produce byte-identical tiles,
-# bit-identical sketches, and byte-identical compacted snapshots whether
-# consumed streamed (at batch sizes {1, 4096, whole-file} and fold
-# parallelism {1, 4, all}) or fully materialized.
 stream-verify:
-	$(GO) run ./cmd/speedctx stream-verify
+	$(GO) test -count=1 -run '^TestSegmentLayoutIdentity$$/^(tiles|sketches|compaction)$$' ./internal/ingest
 
-# tiles-verify is the end-to-end identity gate for the geo-tiled aggregate
-# query layer (DESIGN.md §13): one city's tiles rendered from memory and
-# from a pruned .sxc snapshot scan, across parallelism {1,4,all}, cold and
-# through a warm result cache, must be byte-identical — and the snapshot
-# scan must actually have skipped the unrequested columns. It also pins
-# the streamed two-pass scan→classify→fold path (DESIGN.md §14) to the
-# same bytes at batch sizes {1, 4096, whole-file}.
 tiles-verify:
-	$(GO) run ./cmd/speedctx tiles -verify -scale 0.002
+	$(GO) test -count=1 -run '^(TestTileRowsSnapshotIdentity|TestStreamTileIndexIdentity)$$' ./internal/experiments
 
-# zonemap-verify is the end-to-end identity gate for the zone-map predicate
-# pushdown layer (DESIGN.md §15): a one-city bbox query rendered from a
-# quadkey-clustered zoned snapshot and from a canonical v2 snapshot, with
-# pushdown on and off, across fold parallelism {1,4,all} and scan batch
-# {1, 4096, whole-file}, must be byte-identical to the in-memory fold —
-# and the clustered+pushdown scans must actually have skipped row groups.
 zonemap-verify:
-	$(GO) run ./cmd/speedctx zonemap-verify
+	$(GO) test -count=1 -run '^TestSegmentLayoutIdentity$$/^zonemap$$' ./internal/ingest
 
 # load-smoke is the serving-path gate: a bounded self-hosted run of the
 # load generator through the real HTTP ingest server must complete with

@@ -40,6 +40,10 @@ func TestUsageErrors(t *testing.T) {
 	if err := run([]string{"bst", "-city", "Z"}, &buf); err == nil {
 		t.Error("unknown city should error")
 	}
+	// The identity gates are package tests (make *-verify), not commands.
+	if err := run([]string{"stream-verify"}, &buf); err == nil || !strings.HasPrefix(err.Error(), "usage:") {
+		t.Errorf("stream-verify: got %v, want the usage error", err)
+	}
 }
 
 func TestTableCommands(t *testing.T) {

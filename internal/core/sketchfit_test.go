@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"speedctx/internal/identitytest"
 	"speedctx/internal/plans"
 )
 
@@ -62,14 +63,9 @@ func TestFitFromSketchesShardMergeDeterminism(t *testing.T) {
 	}
 
 	tiers := len(cat.UploadTiers())
-	for _, shards := range []int{1, 7, 64} {
+	for _, shards := range identitytest.ShardCounts {
 		parts := shardTierSketches(t, res, samples, spec, shards)
-		orders := [][]int{make([]int, shards), make([]int, shards)}
-		for i := 0; i < shards; i++ {
-			orders[0][i] = i
-			orders[1][i] = shards - 1 - i
-		}
-		for oi, order := range orders {
+		for oi, order := range identitytest.MergeOrders(shards) {
 			merged, err := NewTierSketches(spec, tiers)
 			if err != nil {
 				t.Fatal(err)

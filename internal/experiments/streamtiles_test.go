@@ -6,6 +6,7 @@ import (
 
 	"speedctx/internal/core"
 	"speedctx/internal/dataset"
+	"speedctx/internal/identitytest"
 	"speedctx/internal/opendata"
 	"speedctx/internal/tilequery"
 )
@@ -50,8 +51,8 @@ func TestStreamTileIndexIdentity(t *testing.T) {
 	}
 	want := render(ref)
 
-	for _, batch := range []int{1, 4096, 1 << 30} {
-		for _, par := range []int{1, 4, 0} {
+	for _, batch := range identitytest.ScanBatches {
+		for _, par := range identitytest.FoldPars {
 			ix, ctr, err := StreamTileIndex(path, city, cfg, batch,
 				tilequery.Config{City: city, Parallelism: par})
 			if err != nil {

@@ -21,10 +21,35 @@ import (
 // timestamp is Unix nanoseconds UTC. The hand-rolled scanner below exists
 // because encoding/json's reflective decode dominated the ingest profile;
 // the schema is flat and fixed, so a single left-to-right pass with no
-// intermediate map suffices. Unknown keys are skipped (forward
-// compatibility); nested values are rejected.
+// intermediate map suffices. Each of the eight keys must appear exactly
+// once. Unknown keys are skipped (forward compatibility); nested values
+// are rejected. Whatever the scanner accepts is valid JSON that
+// encoding/json decodes to the same eight values (FuzzParseSubmission).
 
 var errMalformed = errors.New("ingest: malformed submission")
+
+// Wire bounds on the measurements: a value that is not finite, negative or
+// above its bound is rejected at the door. The bounds (100 Gbps, a
+// ten-minute round trip) sit far above any real test and far below the
+// ~9.2e15 where tilequery.roundMilli's float→int64 conversion overflows.
+const (
+	maxDownloadMbps = 100_000
+	maxUploadMbps   = 100_000
+	maxLatencyMs    = 600_000
+)
+
+// One bit per required key; a submission must set each exactly once.
+const (
+	keyTestID = 1 << iota
+	keyUserID
+	keyCity
+	keyISP
+	keyTimestamp
+	keyDownload
+	keyUpload
+	keyLatency
+	allKeys = 1<<iota - 1
+)
 
 // parseSubmission decodes one submission object into row. It leaves the
 // classification fields (UploadTier, Tier, Confidence) untouched.
@@ -48,63 +73,56 @@ func parseSubmission(b []byte, row *dataset.IngestRow) error {
 			return errMalformed
 		}
 		i = skipWS(b, i+1)
+		bit := 0
 		switch key {
 		case "test_id":
 			v, next, err := scanInt(b, i)
 			if err != nil {
 				return fmt.Errorf("ingest: test_id: %w", err)
 			}
-			row.TestID, i = int(v), next
-			seen++
+			row.TestID, i, bit = int(v), next, keyTestID
 		case "user_id":
 			v, next, err := scanInt(b, i)
 			if err != nil {
 				return fmt.Errorf("ingest: user_id: %w", err)
 			}
-			row.UserID, i = int(v), next
-			seen++
+			row.UserID, i, bit = int(v), next, keyUserID
 		case "city":
 			v, next, err := scanString(b, i)
 			if err != nil {
 				return fmt.Errorf("ingest: city: %w", err)
 			}
-			row.City, i = v, next
-			seen++
+			row.City, i, bit = v, next, keyCity
 		case "isp":
 			v, next, err := scanString(b, i)
 			if err != nil {
 				return fmt.Errorf("ingest: isp: %w", err)
 			}
-			row.ISP, i = v, next
-			seen++
+			row.ISP, i, bit = v, next, keyISP
 		case "timestamp":
 			v, next, err := scanInt(b, i)
 			if err != nil {
 				return fmt.Errorf("ingest: timestamp: %w", err)
 			}
-			row.Timestamp, i = time.Unix(0, v).UTC(), next
-			seen++
+			row.Timestamp, i, bit = time.Unix(0, v).UTC(), next, keyTimestamp
 		case "download_mbps":
-			v, next, err := scanFloat(b, i)
+			v, next, err := scanMeasure(b, i, maxDownloadMbps)
 			if err != nil {
 				return fmt.Errorf("ingest: download_mbps: %w", err)
 			}
-			row.DownloadMbps, i = v, next
-			seen++
+			row.DownloadMbps, i, bit = v, next, keyDownload
 		case "upload_mbps":
-			v, next, err := scanFloat(b, i)
+			v, next, err := scanMeasure(b, i, maxUploadMbps)
 			if err != nil {
 				return fmt.Errorf("ingest: upload_mbps: %w", err)
 			}
-			row.UploadMbps, i = v, next
-			seen++
+			row.UploadMbps, i, bit = v, next, keyUpload
 		case "latency_ms":
-			v, next, err := scanFloat(b, i)
+			v, next, err := scanMeasure(b, i, maxLatencyMs)
 			if err != nil {
 				return fmt.Errorf("ingest: latency_ms: %w", err)
 			}
-			row.LatencyMs, i = v, next
-			seen++
+			row.LatencyMs, i, bit = v, next, keyLatency
 		default:
 			next, err := skipValue(b, i)
 			if err != nil {
@@ -112,6 +130,10 @@ func parseSubmission(b []byte, row *dataset.IngestRow) error {
 			}
 			i = next
 		}
+		if seen&bit != 0 {
+			return fmt.Errorf("ingest: duplicate key %q", key)
+		}
+		seen |= bit
 		i = skipWS(b, i)
 		if i >= len(b) {
 			return errMalformed
@@ -123,7 +145,7 @@ func parseSubmission(b []byte, row *dataset.IngestRow) error {
 			if rest := skipWS(b, i+1); rest != len(b) {
 				return errMalformed
 			}
-			if seen < 8 {
+			if seen != allKeys {
 				return errors.New("ingest: submission missing required fields")
 			}
 			if row.City == "" {
@@ -150,17 +172,27 @@ func skipWS(b []byte, i int) int {
 
 // scanString decodes a JSON string starting at b[i]. The common escape-free
 // case is one sub-slice copy; escapes fall back to a rune-by-rune decode.
+// Control characters and invalid UTF-8 are rejected, as the JSON grammar
+// requires.
 func scanString(b []byte, i int) (string, int, error) {
 	if i >= len(b) || b[i] != '"' {
 		return "", i, errMalformed
 	}
 	start := i + 1
+	ascii := true
 	for j := start; j < len(b); j++ {
-		switch b[j] {
-		case '"':
+		switch c := b[j]; {
+		case c == '"':
+			if !ascii && !utf8.Valid(b[start:j]) {
+				return "", i, errMalformed
+			}
 			return string(b[start:j]), j + 1, nil
-		case '\\':
+		case c == '\\':
 			return scanEscapedString(b, start)
+		case c < 0x20:
+			return "", i, errMalformed
+		case c >= utf8.RuneSelf:
+			ascii = false
 		}
 	}
 	return "", i, errMalformed
@@ -172,6 +204,11 @@ func scanEscapedString(b []byte, start int) (string, int, error) {
 	for j < len(b) {
 		switch c := b[j]; c {
 		case '"':
+			// Escapes append whole runes, so out is valid UTF-8 exactly
+			// when the raw bytes between them are.
+			if !utf8.Valid(out) {
+				return "", j, errMalformed
+			}
 			return string(out), j + 1, nil
 		case '\\':
 			if j+1 >= len(b) {
@@ -220,6 +257,9 @@ func scanEscapedString(b []byte, start int) (string, int, error) {
 				return "", j, errMalformed
 			}
 		default:
+			if c < 0x20 {
+				return "", j, errMalformed
+			}
 			out = append(out, c)
 			j++
 		}
@@ -227,18 +267,46 @@ func scanEscapedString(b []byte, start int) (string, int, error) {
 	return "", j, errMalformed
 }
 
+// numEnd returns the end of the JSON number starting at b[i], or i when
+// none starts there. It enforces the JSON grammar
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, which strconv alone does
+// not: it also takes "+1", ".5" and "1.".
 func numEnd(b []byte, i int) int {
 	j := i
-	for j < len(b) {
-		switch b[j] {
-		case '-', '+', '.', 'e', 'E',
-			'0', '1', '2', '3', '4', '5', '6', '7', '8', '9':
-			j++
-		default:
-			return j
+	if j < len(b) && b[j] == '-' {
+		j++
+	}
+	switch {
+	case j < len(b) && b[j] == '0':
+		j++
+	case j < len(b) && b[j] >= '1' && b[j] <= '9':
+		j = digitsEnd(b, j)
+	default:
+		return i
+	}
+	if j < len(b) && b[j] == '.' {
+		k := j + 1
+		if j = digitsEnd(b, k); j == k {
+			return i
+		}
+	}
+	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
+		k := j + 1
+		if k < len(b) && (b[k] == '+' || b[k] == '-') {
+			k++
+		}
+		if j = digitsEnd(b, k); j == k {
+			return i
 		}
 	}
 	return j
+}
+
+func digitsEnd(b []byte, i int) int {
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 func scanInt(b []byte, i int) (int64, int, error) {
@@ -263,6 +331,19 @@ func scanFloat(b []byte, i int) (float64, int, error) {
 		return 0, i, err
 	}
 	return v, j, nil
+}
+
+// scanMeasure scans a measurement and enforces its wire bound: finite and
+// within [0, bound].
+func scanMeasure(b []byte, i int, bound float64) (float64, int, error) {
+	v, next, err := scanFloat(b, i)
+	if err != nil {
+		return 0, i, err
+	}
+	if !(v >= 0 && v <= bound) {
+		return 0, i, fmt.Errorf("%g outside [0, %g]", v, bound)
+	}
+	return v, next, nil
 }
 
 // skipValue steps over one unknown scalar value (forward compatibility).

@@ -344,22 +344,16 @@ func (p *Pipeline) ageFlusher() {
 	}
 }
 
-// seal sorts a batch into the stable key order, encodes it as a one-section
-// .sxc image (plus the batch's sketch bundles when sketches are configured),
-// and atomically writes segment file seq. Once the segment is durable, its
-// sketches fold into the running sealed-sketch merge — so SealedSketches
-// only ever describes rows a restart would also recover. Errors latch into
-// firstErr and surface from Close.
+// seal encodes a batch with encodeSegment and atomically writes segment
+// file seq. Once the segment is durable, its sketches fold into the running
+// sealed-sketch merge — so SealedSketches only ever describes rows a
+// restart would also recover. Errors latch into firstErr and surface from
+// Close.
 func (p *Pipeline) seal(batch []dataset.IngestRow, seq int) {
 	if len(batch) == 0 {
 		return
 	}
-	dataset.SortIngestRows(batch)
-	sketches, bundles, err := p.batchSketches(batch)
-	var buf []byte
-	if err == nil {
-		buf, err = dataset.EncodeIngestSegmentSketches(dataset.ColumnizeIngest(batch), bundles)
-	}
+	buf, sketches, err := encodeSegment(batch, p.cfg.Sketches)
 	if err == nil {
 		err = writeAtomic(p.segmentPath(seq), buf)
 	}
@@ -391,19 +385,18 @@ func (p *Pipeline) seal(batch []dataset.IngestRow, seq int) {
 	p.sealed.Add(uint64(len(batch)))
 }
 
-// batchSketches bins one sorted batch into per-city tier sketches (cities
-// with a configured spec and at least one row in the batch) and renders the
-// matching persisted bundles, ordered by city then tier so segment bytes
-// stay a pure function of the row set.
-func (p *Pipeline) batchSketches(batch []dataset.IngestRow) (map[string]*core.TierSketches, []dataset.SketchBundle, error) {
-	if len(p.cfg.Sketches) == 0 {
-		return nil, nil, nil
-	}
+// encodeSegment is the seal format: it sorts rows in place into the stable
+// key order, bins them into per-city tier sketches (cities with a spec in
+// specs and at least one row), and encodes a one-section .sxc image plus
+// the matching sketch bundles, ordered by city then tier so the bytes stay
+// a pure function of the row set. It returns the image and the sketches.
+func encodeSegment(rows []dataset.IngestRow, specs map[string]CitySketchSpec) ([]byte, map[string]*core.TierSketches, error) {
+	dataset.SortIngestRows(rows)
 	sketches := make(map[string]*core.TierSketches)
-	for _, row := range batch {
+	for _, row := range rows {
 		ts, ok := sketches[row.City]
 		if !ok {
-			spec, configured := p.cfg.Sketches[row.City]
+			spec, configured := specs[row.City]
 			if !configured {
 				continue
 			}
@@ -428,7 +421,11 @@ func (p *Pipeline) batchSketches(batch []dataset.IngestRow) (map[string]*core.Ti
 			bundles = append(bundles, dataset.SketchBundle{City: city, Tier: ti, Sketch: d})
 		}
 	}
-	return sketches, bundles, nil
+	buf, err := dataset.EncodeIngestSegmentSketches(dataset.ColumnizeIngest(rows), bundles)
+	if err != nil {
+		return nil, nil, err
+	}
+	return buf, sketches, nil
 }
 
 // SealedSketchesFor returns an independent copy of the running merged
@@ -579,14 +576,7 @@ const (
 // reduce in sorted file order, so decode overlaps the fold while the
 // output bytes stay independent of worker count.
 func Compact(dir string) (string, error) {
-	return CompactBatched(dir, 0, 0)
-}
-
-// CompactBatched is Compact with the concurrency knobs exposed: par
-// segments scan at once (0 = all CPUs) in batches of batchRows rows
-// (0 = dataset.DefaultScanBatchRows). Neither affects the output bytes.
-func CompactBatched(dir string, par, batchRows int) (string, error) {
-	return CompactWith(dir, CompactOptions{Par: par, BatchRows: batchRows})
+	return CompactWith(dir, CompactOptions{})
 }
 
 // CompactOptions tunes CompactWith. The zero value reproduces Compact:

@@ -35,34 +35,51 @@ func getTiles(t testing.TB, client *http.Client, url, params string) (int, []byt
 // library fold of the rows under the tiers the server stamps on them.
 func wantTiles(t testing.TB, cls map[string]*core.Classifier, rows []dataset.IngestRow, q tilequery.Query) []byte {
 	t.Helper()
-	exp := &tilequery.Rows{}
-	for i := range rows {
-		r := &rows[i]
-		a := cls[r.City].ClassifyOne(r.DownloadMbps, r.UploadMbps)
-		exp.UserID = append(exp.UserID, r.UserID)
-		exp.City = append(exp.City, r.City)
-		exp.Download = append(exp.Download, r.DownloadMbps)
-		exp.Upload = append(exp.Upload, r.UploadMbps)
-		exp.Latency = append(exp.Latency, r.LatencyMs)
-		exp.Tier = append(exp.Tier, a.Tier)
+	stamped := append([]dataset.IngestRow(nil), rows...)
+	for i := range stamped {
+		stamped[i].Tier = cls[stamped[i].City].ClassifyOne(stamped[i].DownloadMbps, stamped[i].UploadMbps).Tier
 	}
-	ix := tilequery.NewIndex(tilequery.Config{})
-	if _, err := ix.AddRows(exp); err != nil {
+	return append(renderIndex(t, memoryIndex(t, stamped), q), '\n')
+}
+
+// memoryIndex is the in-memory AddRows fold of rows: the reference every
+// segment fold must reproduce.
+func memoryIndex(t testing.TB, rows []dataset.IngestRow) *tilequery.Index {
+	t.Helper()
+	r := &tilequery.Rows{}
+	for _, row := range rows {
+		r.UserID = append(r.UserID, row.UserID)
+		r.City = append(r.City, row.City)
+		r.Download = append(r.Download, row.DownloadMbps)
+		r.Upload = append(r.Upload, row.UploadMbps)
+		r.Latency = append(r.Latency, row.LatencyMs)
+		r.Tier = append(r.Tier, row.Tier)
+	}
+	ix := tilequery.NewIndex(tilequery.Config{Parallelism: 1})
+	if _, err := ix.AddRows(r); err != nil {
 		t.Fatal(err)
 	}
-	tiles, err := ix.Tiles(q)
-	if err != nil {
-		t.Fatal(err)
+	return ix
+}
+
+// renderIndex renders the index's answer to each query as tile JSON.
+func renderIndex(t testing.TB, ix *tilequery.Index, qs ...tilequery.Query) []byte {
+	t.Helper()
+	var buf []byte
+	for _, q := range qs {
+		tiles, err := ix.Tiles(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zoom := q.Zoom
+		if zoom == 0 {
+			zoom = ix.Zoom()
+		}
+		if buf, err = tilequery.AppendTilesJSON(buf, zoom, tiles, ""); err != nil {
+			t.Fatal(err)
+		}
 	}
-	zoom := q.Zoom
-	if zoom == 0 {
-		zoom = ix.Zoom()
-	}
-	want, err := tilequery.AppendTilesJSON(nil, zoom, tiles, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(want, '\n')
+	return buf
 }
 
 // TestTilesEndpointIdentity is the serving-path determinism gate: the

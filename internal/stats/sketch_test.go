@@ -7,43 +7,8 @@ import (
 	"testing"
 
 	"speedctx/internal/fitcache"
+	"speedctx/internal/identitytest"
 )
-
-// sketchShardCounts and sketchOrders sweep the determinism contract: any
-// sharding of a sample set, merged in any order, must reproduce the
-// single-pass sketch exactly (DESIGN.md §12).
-var sketchShardCounts = []int{1, 7, 64}
-
-// orderings returns deterministic merge-order permutations of 0..n-1:
-// identity, reversed, and an odd-stride interleave (a fixed stand-in for an
-// arbitrary permutation).
-func orderings(n int) [][]int {
-	id := make([]int, n)
-	rev := make([]int, n)
-	stride := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		id[i] = i
-		rev[i] = n - 1 - i
-	}
-	if n == 1 {
-		return [][]int{id}
-	}
-	step := 5
-	for step%n == 0 {
-		step++
-	}
-	at := 0
-	seen := make([]bool, n)
-	for len(stride) < n {
-		for seen[at] {
-			at = (at + 1) % n
-		}
-		stride = append(stride, at)
-		seen[at] = true
-		at = (at + step) % n
-	}
-	return [][]int{id, rev, stride}
-}
 
 // shardSketches deposits xs round-robin into `shards` sketches over one
 // shared grid.
@@ -109,9 +74,9 @@ func TestSketchMergeDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range sketchShardCounts {
+	for _, shards := range identitytest.ShardCounts {
 		parts := shardSketches(t, xs, lo, hi, bins, shards)
-		for oi, order := range orderings(shards) {
+		for oi, order := range identitytest.MergeOrders(shards) {
 			merged, err := NewSketch(lo, hi, bins)
 			if err != nil {
 				t.Fatal(err)
@@ -146,9 +111,9 @@ func TestFitGMMSketchMatchesSinglePass(t *testing.T) {
 	}
 	lo, hi := sampleBounds(xs)
 	bins := cfg.emBins()
-	for _, shards := range sketchShardCounts {
+	for _, shards := range identitytest.ShardCounts {
 		parts := shardSketches(t, xs, lo, hi, bins, shards)
-		for oi, order := range orderings(shards) {
+		for oi, order := range identitytest.MergeOrders(shards) {
 			merged, err := NewSketch(lo, hi, bins)
 			if err != nil {
 				t.Fatal(err)
