@@ -27,11 +27,12 @@ race:
 race-scan:
 	$(GO) test -race ./internal/dataset/... ./internal/tilequery/... ./internal/ingest/...
 
-# bench-smoke runs one iteration of the parallel stats and dataset
-# generation benchmarks — enough to catch a broken benchmark without paying
-# for a full measurement run.
+# bench-smoke runs one iteration of the parallel stats, TCP simulator and
+# dataset generation benchmarks — enough to catch a broken benchmark
+# without paying for a full measurement run.
 bench-smoke:
 	$(GO) test -run NONE -bench 'KDEGrid|FitGMM|SketchMerge' -benchtime 1x ./internal/stats/
+	$(GO) test -run NONE -bench 'Simulate' -benchtime 1x ./internal/tcpmodel/
 	$(GO) test -run NONE -bench 'GenerateOokla/n=10000$$|WriteOoklaCSV|ReadOoklaCSV/n=100000|OoklaIngest/n=100000/src=(csv|snapshot)' -benchtime 1x ./internal/dataset/
 	$(GO) test -run NONE -bench 'ClassifyOne|FitFromSketches' -benchtime 1x ./internal/core/
 	$(GO) test -run NONE -bench 'IngestHTTPBatch64|ParseSubmission|ServerWarmRefresh|TilesHTTP' -benchtime 1x ./internal/ingest/
@@ -41,6 +42,7 @@ bench-smoke:
 # The n=1000000 generation sizes need more than go test's default 10m.
 bench:
 	$(GO) test -run NONE -bench 'KDEGrid|KDEPeaks|FitGMM|SketchMerge' -benchmem ./internal/stats/
+	$(GO) test -run NONE -bench 'Simulate' -benchmem ./internal/tcpmodel/
 	$(GO) test -run NONE -bench 'GenerateOokla|GenerateMLab|WriteOoklaCSV|ReadOoklaCSV|OoklaIngest' -benchmem -timeout 60m ./internal/dataset/
 	$(GO) test -run NONE -bench 'AllSnapshot' -benchmem -timeout 60m ./cmd/speedctx/
 	$(GO) test -run NONE -bench 'ClassifyOne|FitFromSketches' -benchmem ./internal/core/
@@ -56,6 +58,7 @@ bench:
 # not statistical precision.
 bench-baseline:
 	( $(GO) test -run NONE -bench 'KDEGrid|KDEPeaks|FitGMM|SketchMerge' -benchtime 2x -count 5 ./internal/stats/ ; \
+	  $(GO) test -run NONE -bench 'Simulate' -benchtime 2000x -count 5 ./internal/tcpmodel/ ; \
 	  $(GO) test -run NONE -bench 'GenerateOokla|GenerateMLab|WriteOoklaCSV' -benchtime 1x -timeout 60m ./internal/dataset/ ; \
 	  $(GO) test -run NONE -bench 'ReadOoklaCSV|OoklaIngest' -benchtime 1x -count 3 -timeout 60m ./internal/dataset/ ; \
 	  $(GO) test -run NONE -bench 'AllSnapshot' -benchtime 1x -count 2 -timeout 60m ./cmd/speedctx/ ; \
@@ -68,16 +71,18 @@ bench-baseline:
 	  $(GO) test -run NONE -bench 'TileScan' -benchtime 3x -count 3 -benchmem -timeout 30m ./internal/tilequery/ ; \
 	  $(GO) test -run NONE -bench 'TileAggregate' -benchtime 10x -count 3 ./internal/tilequery/ ; \
 	  $(GO) test -run NONE -bench 'TileQuery' -benchtime 200x -count 5 ./internal/tilequery/ ) \
-		| scripts/bench2json.sh > BENCH_pr12.json
-	@cat BENCH_pr12.json
+		| scripts/bench2json.sh > BENCH_pr14.json
+	@cat BENCH_pr14.json
 
 # bench-compare gates the committed perf trajectory: fail if any benchmark
 # shared with an earlier baseline regressed >10% (machine-normalized; see
 # scripts/bench_compare.sh). The TilesHTTP query={nbhd,city} entries —
 # bbox queries answered from the resident engine (DESIGN.md §15) — are
-# new in BENCH_pr12; future PRs gate against them.
+# new in BENCH_pr12, and the Simulate entries (the TCP round loop every
+# generated test runs, DESIGN.md §9) in BENCH_pr14; future PRs gate
+# against them.
 bench-compare:
-	scripts/bench_compare.sh BENCH_pr12.json BENCH_pr10.json BENCH_pr9.json BENCH_pr8.json BENCH_pr7.json BENCH_pr6.json BENCH_pr5.json BENCH_pr4.json BENCH_pr3.json BENCH_pr1.json
+	scripts/bench_compare.sh BENCH_pr14.json BENCH_pr12.json BENCH_pr10.json BENCH_pr9.json BENCH_pr8.json BENCH_pr7.json BENCH_pr6.json BENCH_pr5.json BENCH_pr4.json BENCH_pr3.json BENCH_pr1.json
 
 # The *-verify targets are aliases for the package tests that own each
 # identity gate; tier-1 (`go test ./...`) runs the same tests.

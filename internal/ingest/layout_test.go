@@ -3,9 +3,11 @@ package ingest
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"speedctx/internal/core"
@@ -226,4 +228,36 @@ func TestSegmentLayoutIdentity(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestEncodeSegmentOrderIndependent pins the seal half of the determinism
+// contract: a sealed segment's bytes and sketches are a function of the
+// row multiset alone, whatever order the rows arrived in.
+func TestEncodeSegmentOrderIndependent(t *testing.T) {
+	cat, _ := plans.ByCity("A")
+	specs := map[string]CitySketchSpec{"A": {Spec: core.SketchSpecFor(cat, 0), Tiers: len(cat.UploadTiers())}}
+	rows := testRows(3000, 7)
+	wantBuf, wantSk, err := encodeSegment(append([]dataset.IngestRow(nil), rows...), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	for perm := 0; perm < 4; perm++ {
+		shuffled := append([]dataset.IngestRow(nil), rows...)
+		if perm == 0 {
+			slices.Reverse(shuffled)
+		} else {
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		}
+		buf, sk, err := encodeSegment(shuffled, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, wantBuf) {
+			t.Fatalf("permutation %d: segment bytes differ", perm)
+		}
+		if !reflect.DeepEqual(sk, wantSk) {
+			t.Fatalf("permutation %d: sketches differ", perm)
+		}
+	}
 }

@@ -109,8 +109,8 @@ type ServerConfig struct {
 	// config the startup models were fit with, so refreshed and cold-start
 	// models are directly comparable.
 	FitConfig core.Config
-	// Logf, when non-nil, receives one line per refit and per refit
-	// failure.
+	// Logf, when non-nil, receives one line per refit, per refit
+	// failure and per segment the tile layer quarantines.
 	Logf func(format string, args ...any)
 	// Tiles configures the /v1/tiles aggregation layer. The zero value
 	// serves zoom-16 tiles with the default location seed and all-CPU
@@ -169,7 +169,7 @@ func NewServer(pipe *Pipeline, models map[string]*CityModel, cfg ServerConfig) *
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	s.tiles = newTileServer(pipe.cfg.Dir, cfg.Tiles, cfg.TileCacheTiles, pipe.cfg.ScanBatchRows)
+	s.tiles = newTileServer(pipe.cfg.Dir, cfg.Tiles, cfg.TileCacheTiles, pipe.cfg.ScanBatchRows, s.cfg.logf)
 	now := time.Now().UnixNano()
 	for city, m := range models {
 		st := &cityState{base: m.Base}

@@ -3,6 +3,7 @@ package ingest
 import (
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -31,13 +32,17 @@ var tileSelection = dataset.SnapshotSelection{
 // engine and refolds the directory. Because tile aggregation is
 // integer-exact and placement is order-independent, any fold history over
 // the same sealed rows — live seal-by-seal, cold-restart refold, or
-// post-compaction refold — yields byte-identical responses.
+// post-compaction refold — yields byte-identical responses. A segment
+// that fails to fold is quarantined (see refresh), so one undecodable file
+// costs its own rows, not the endpoint.
 type tileServer struct {
 	mu        sync.Mutex
 	dir       string
 	eng       *tilequery.Engine
 	folded    map[string]bool
+	bad       map[string]fileIdentity
 	batchRows int
+	logf      func(format string, args ...any)
 
 	// Cumulative streamed-scan counters across folds, for /statsz: proof
 	// the serving path never materializes unrequested columns (and, on
@@ -48,17 +53,27 @@ type tileServer struct {
 	refolds       uint64
 }
 
-func newTileServer(dir string, cfg tilequery.Config, cacheTiles, batchRows int) *tileServer {
+func newTileServer(dir string, cfg tilequery.Config, cacheTiles, batchRows int, logf func(string, ...any)) *tileServer {
 	return &tileServer{
 		dir:       dir,
 		eng:       tilequery.NewEngine(cfg, cacheTiles),
 		folded:    make(map[string]bool),
+		bad:       make(map[string]fileIdentity),
 		batchRows: batchRows,
+		logf:      logf,
 	}
 }
 
+// fileIdentity is what a quarantined segment is remembered by: a file
+// rewritten under the same name gets another chance to fold.
+type fileIdentity struct {
+	size, modNanos int64
+}
+
 // refresh folds segments sealed since the last call, resetting first if
-// compaction rewrote the directory.
+// compaction rewrote the directory. A segment that fails to fold is
+// quarantined by name, size and modification time and skipped until it
+// changes; the remaining segments are refolded in the same call.
 func (ts *tileServer) refresh() error {
 	names, err := listSegments(ts.dir)
 	if err != nil {
@@ -68,33 +83,64 @@ func (ts *tileServer) refresh() error {
 	for _, name := range names {
 		present[name] = true
 	}
+	for name := range ts.bad {
+		if !present[name] {
+			delete(ts.bad, name)
+		}
+	}
 	for name := range ts.folded {
 		if !present[name] {
-			ts.eng.Reset()
-			ts.folded = make(map[string]bool, len(names))
-			ts.refolds++
+			ts.reset()
 			break
 		}
 	}
-	for _, name := range names {
-		if ts.folded[name] {
+	failed := make(map[string]bool) // not retried before the next call
+	for i := 0; i < len(names); i++ {
+		name := names[i]
+		if ts.folded[name] || failed[name] {
 			continue
+		}
+		if bad, ok := ts.bad[name]; ok {
+			if bad == ts.identify(name) {
+				continue
+			}
+			delete(ts.bad, name)
 		}
 		if err := ts.foldSegment(name); err != nil {
 			// A streamed fold is provisional until the scan's final
 			// verification, so a failure may have folded a partial
-			// segment. Reset and refold everything on the next request —
-			// cheap (folds are incremental over few segments) and it
-			// keeps the engine's state a pure function of whole sealed
-			// segments.
-			ts.eng.Reset()
-			ts.folded = make(map[string]bool)
-			ts.refolds++
-			return fmt.Errorf("ingest: tiles: fold %s: %w", name, err)
+			// segment. Quarantine the file, reset, and refold the other
+			// segments from the first: the engine's state stays a pure
+			// function of whole sealed segments. Each restart fails
+			// another name, so there are at most len(names).
+			ts.logf("ingest: tiles: quarantined %s: %v", name, err)
+			failed[name] = true
+			ts.bad[name] = ts.identify(name)
+			ts.reset()
+			i = -1
+			continue
 		}
 		ts.folded[name] = true
 	}
 	return nil
+}
+
+// identify returns the segment's size and modification time, or the zero
+// identity if it cannot be read (a file gone by the next listing leaves
+// the quarantine anyway).
+func (ts *tileServer) identify(name string) fileIdentity {
+	fi, err := os.Stat(filepath.Join(ts.dir, name))
+	if err != nil {
+		return fileIdentity{}
+	}
+	return fileIdentity{size: fi.Size(), modNanos: fi.ModTime().UnixNano()}
+}
+
+// reset empties the engine so the next folds start from no segments.
+func (ts *tileServer) reset() {
+	ts.eng.Reset()
+	ts.folded = make(map[string]bool)
+	ts.refolds++
 }
 
 // foldSegment streams one segment batch-by-batch into the engine
@@ -129,6 +175,7 @@ func (ts *tileServer) foldSegment(name string) error {
 type tileStats struct {
 	tilequery.EngineStats
 	Segments      int
+	BadSegments   int
 	Refolds       uint64
 	ColsDecoded   int64
 	ColsSkipped   int64
@@ -141,6 +188,7 @@ func (ts *tileServer) stats() tileStats {
 	return tileStats{
 		EngineStats:   ts.eng.Stats(),
 		Segments:      len(ts.folded),
+		BadSegments:   len(ts.bad),
 		Refolds:       ts.refolds,
 		ColsDecoded:   ts.colsDecoded,
 		ColsSkipped:   ts.colsSkipped,
@@ -236,6 +284,8 @@ func appendTileStats(out []byte, st tileStats) []byte {
 	out = strconv.AppendInt(out, int64(st.Tiles), 10)
 	out = append(out, `,"segments":`...)
 	out = strconv.AppendInt(out, int64(st.Segments), 10)
+	out = append(out, `,"bad_segments":`...)
+	out = strconv.AppendInt(out, int64(st.BadSegments), 10)
 	out = append(out, `,"refolds":`...)
 	out = strconv.AppendUint(out, st.Refolds, 10)
 	out = append(out, `,"hits":`...)

@@ -360,3 +360,102 @@ func TestTilesAfterRestartWithoutCompaction(t *testing.T) {
 		t.Fatal("tiles after the restart differ from the fold of both runs' rows")
 	}
 }
+
+// TestTilesQuarantineBadSegment puts undecodable segments next to good
+// ones: /v1/tiles must keep answering with the fold of the good rows, and
+// /statsz must count the quarantined files. The corrupt segment fails
+// only at a late block checksum, after part of it folded, so the answer
+// also proves the partial fold was discarded.
+func TestTilesQuarantineBadSegment(t *testing.T) {
+	cls, rows := loadClassifiers(t)
+	dir := t.TempDir()
+	ts, srv, p := startServer(t, dir, PipelineConfig{BatchRows: 100, MaxBatchAge: -1}, cls)
+	defer ts.Close()
+	client := ts.Client()
+	for i := range rows {
+		postOne(t, client, ts.URL, &rows[i])
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := listSegments(dir)
+	if err != nil || len(names) < 2 {
+		t.Fatalf("sealed %v (err %v), want several segments", names, err)
+	}
+	want := wantTiles(t, cls, rows, tilequery.Query{})
+	check := func(step string, bad int) {
+		t.Helper()
+		code, got := getTiles(t, client, ts.URL, "")
+		if code != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("%s: /v1/tiles = %d, %d bytes; want 200 with the good rows' %d bytes: %.200s", step, code, len(got), len(want), got)
+		}
+		resp, err := client.Get(ts.URL + "/statsz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if !bytes.Contains(stats, []byte(fmt.Sprintf(`"bad_segments":%d,`, bad))) {
+			t.Fatalf("%s: statsz wants bad_segments %d: %s", step, bad, stats)
+		}
+		if st := srv.tiles.stats(); st.Segments != len(names) {
+			t.Fatalf("%s: engine holds %d segments, want the %d good ones", step, st.Segments, len(names))
+		}
+	}
+
+	garbage := filepath.Join(dir, "seg-99999999"+segmentSuffix)
+	if err := os.WriteFile(garbage, []byte("not a segment"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check("garbage", 1)
+	refolds := srv.tiles.stats().Refolds
+	check("garbage again", 1)
+	if st := srv.tiles.stats(); st.Refolds != refolds {
+		t.Fatalf("a known bad segment was refolded: refolds %d -> %d", refolds, st.Refolds)
+	}
+
+	// Sorts between the first two good segments, so it fails after one
+	// of them folded in the same refresh.
+	corrupt := filepath.Join(dir, strings.TrimSuffix(names[0], segmentSuffix)+"a"+segmentSuffix)
+	if err := os.WriteFile(corrupt, partialFoldCorruption(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check("corrupt segment", 2)
+
+	if err := os.Remove(garbage); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(corrupt); err != nil {
+		t.Fatal(err)
+	}
+	check("removed", 0)
+}
+
+// partialFoldCorruption returns a sealed segment of synthetic rows with
+// one byte flipped where a file-mode tile scan fails only after it
+// yielded rows: a selected column block longer than one read window,
+// corrupted past its first window. The search steps back from the end;
+// a source that is not an in-memory image takes the windowed file path.
+func partialFoldCorruption(t testing.TB) []byte {
+	t.Helper()
+	seg, _, err := encodeSegment(testRows(40000, 5), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := len(seg) - 1; off >= 0; off -= 4093 {
+		seg[off] ^= 0xff
+		sc, err := dataset.NewBlockScanner(struct{ *bytes.Reader }{bytes.NewReader(seg)}, tileSelection, 0)
+		if err == nil {
+			rows := 0
+			for sc.Scan() {
+				rows += sc.Batch().Rows
+			}
+			if sc.Err() != nil && rows > 0 {
+				return seg
+			}
+		}
+		seg[off] ^= 0xff
+	}
+	t.Fatal("no single-byte corruption fails the scan after it yielded rows")
+	return nil
+}

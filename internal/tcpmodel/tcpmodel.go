@@ -158,6 +158,47 @@ type flow struct {
 	delivered float64 // measured-interval packets
 }
 
+// lossEps absorbs every rounding error between the bracket in lossDraw
+// and the exact comparison it stands for (see lossDraw).
+const lossEps = 1e-15
+
+// lossDraw reports u < 1 - math.Exp(a), the loss decision for a draw u in
+// [0, 1) against the exponent a = cwnd*log(1-p) <= 0. The result is the
+// same bit for bit, but Exp runs only for the few draws a bracket cannot
+// decide.
+//
+// For s = -a >= 0 the Taylor remainders give s - s²/2 <= 1 - e^-s <= s.
+// The exact comparison is against the rounded pLoss = fl(1 - fl(exp(a))),
+// not against the real 1 - e^a. The bracket only decides for s < 1, where
+// exp(a) > 1/e and an ulp of it is at most 2^-53. The portable math.Exp
+// documents an error below one ulp; the amd64 assembly documents none and
+// measured at most two ulps off the correctly rounded value on [-1, 0],
+// so allow 2.5 ulps of the real value. The subtraction is exact for
+// exp(a) >= 1/2 (Sterbenz) and rounds by at most 2^-54 below that, so
+// |pLoss - (1 - e^a)| <= 1.5 * 2^-52. Each bound costs at most three more
+// roundings of values below 1 (s*s, the difference, the ± lossEps), at
+// most 0.75 * 2^-52 together; a fused multiply-add only removes roundings.
+// lossEps = 1e-15 (about 4.5 * 2^-52, twice the 2.25 * 2^-52 needed)
+// therefore keeps
+//
+//	u < fl(s - s²/2 - lossEps)  =>  u < pLoss
+//	u >= fl(s + lossEps)        =>  u >= pLoss
+//
+// and only a draw between the bounds, a fraction of about s²/2 (a few in
+// a million on netsim's paths), reaches Exp. The lower test runs only for
+// s <= 0.5, inside the Sterbenz range. A NaN or infinite a (LossRate >= 1)
+// fails both tests and falls through to the exact comparison.
+func lossDraw(a, u float64) bool {
+	s := -a
+	if s <= 0.5 && u < s-s*s/2-lossEps {
+		return true
+	}
+	if u >= s+lossEps {
+		return false
+	}
+	return u < 1-math.Exp(a)
+}
+
 // Simulate runs the round-based AIMD model of spec over path, drawing loss
 // randomness from rng. It is deterministic for a given seed.
 func Simulate(path Path, spec TestSpec, rng *stats.RNG) Result {
@@ -203,9 +244,8 @@ func Simulate(path Path, spec TestSpec, rng *stats.RNG) Result {
 
 	// The per-round random-loss probability is 1 - (1-p)^cwnd. The base
 	// is fixed for the whole transfer, so hoist its log out of the round
-	// loop: exp(cwnd*log(1-p)) costs one Exp where Pow costs a full
-	// log/exp decomposition. This line dominates dataset generation
-	// (every synthetic speed test simulates hundreds of rounds here).
+	// loop: the probability is 1 - exp(cwnd*log(1-p)), and lossDraw
+	// decides nearly every draw against it without calling Exp.
 	logKeep := 0.0
 	if path.LossRate > 0 {
 		logKeep = math.Log1p(-path.LossRate)
@@ -261,14 +301,17 @@ func Simulate(path Path, spec TestSpec, rng *stats.RNG) Result {
 			}
 			lost := overflowLoss
 			if !lost && path.LossRate > 0 {
-				// Probability at least one of cwnd packets is
-				// randomly lost.
-				pLoss := 1 - math.Exp(f.cwnd*logKeep)
-				lost = rng.Float64() < pLoss
+				// At least one of cwnd packets is randomly lost.
+				lost = lossDraw(f.cwnd*logKeep, rng.Float64())
 			}
 			if lost {
 				lossThisRound = true
-				f.ssthresh = math.Max(f.cwnd/2, 2)
+				// cwnd/2 is positive and never NaN, so a plain
+				// compare equals math.Max, which does not inline.
+				f.ssthresh = f.cwnd / 2
+				if f.ssthresh < 2 {
+					f.ssthresh = 2
+				}
 				f.cwnd = f.ssthresh
 				f.slowStart = false
 				continue
